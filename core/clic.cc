@@ -539,7 +539,10 @@ void ClicPolicy::EndWindow(SeqNum end) {
 
   // Candidate order must match the ascending full-scan order the eager
   // analysis used: generalization class ids depend on sample order.
-  std::sort(touched_.begin(), touched_.end());
+  // Nothing else reads it (the rank sort orders (priority, id) pairs),
+  // so without the tree the sort is skipped.
+  const bool generalize = options_.generalize && options_.hint_space;
+  if (generalize) std::sort(touched_.begin(), touched_.end());
 
   for (HintSetId h : touched_) {
     if (hints_.cur[h]) FlushArea(h, end);
@@ -573,7 +576,7 @@ void ClicPolicy::EndWindow(SeqNum end) {
                 static_cast<double>(length);
   }
 
-  if (options_.generalize && options_.hint_space) {
+  if (generalize) {
     // Pool statistics over decision-tree classes; every member of a
     // class shares the pooled Equation-2 estimate, and top-k filtering
     // applies to classes instead of raw hint sets. Samples (refs_w > 0)

@@ -55,10 +55,12 @@ struct ClicOptions {
   std::shared_ptr<const HintRegistry> hint_space;
 
   // -- Adaptive windowing (churn-triggered early close) ---------------------
-  // At the half-window checkpoint the live partial-window Equation-2
-  // priorities (from the already-maintained refs/rerefs/area state) are
-  // rank-correlated with the previous window's committed ranks; when the
-  // similarity collapses below churn_threshold the window closes early.
+  // At each checkpoint (min_window requests into a window, then every
+  // min_window / 2) CLIC measures how well the previous window's
+  // committed ranks still predict live behaviour: the share of the
+  // re-reference mass accrued since the last checkpoint that landed in
+  // hint sets the committed ranking placed in its top half. When that
+  // similarity falls below churn_threshold the window closes early.
   // The effective window halves on each early close and doubles back
   // while the signal stays stable, clamped to [min_window, max_window].
   // The whole mechanism is a pure function of the request stream, so
@@ -67,8 +69,9 @@ struct ClicOptions {
   /// Master switch; off reproduces the fixed-window paper behaviour
   /// bit-for-bit.
   bool adaptive_window = false;
-  /// Early-close trigger: rank similarity in [0, 1] ((Spearman rho+1)/2).
-  /// 0 never closes early, which (with the default ceiling) is also
+  /// Early-close trigger on the re-reference-mass similarity in [0, 1]
+  /// (1 = every re-reference landed in a top-half-ranked hint set). 0
+  /// never closes early, which (with the default ceiling) is also
   /// bit-identical to the fixed window.
   double churn_threshold = 0.5;
   /// Floor on the effective window length; 0 means window / 16.
@@ -157,7 +160,7 @@ class ClicPolicy : public Policy {
   void FlushArea(HintSetId h, SeqNum now);
   void Annotate(Slot& slot, HintSetId hint, SeqNum now);
   /// The one per-request window check: seq reached either the armed
-  /// half-window checkpoint (evaluate churn, maybe close early) or the
+  /// churn checkpoint (evaluate churn, maybe close early) or the
   /// scheduled window end (close). Exactly one state transition per
   /// call, so degenerate seq jumps behave the same on the scalar and
   /// batched paths.
@@ -207,7 +210,7 @@ class ClicPolicy : public Policy {
   /// Full FoldDecay sweep every this many windows, bounding the lazy
   /// per-hint fold to at most this many multiplications.
   static constexpr std::uint64_t kDecayFoldPeriod = 16;
-  /// Below this many ranked hint sets a rank correlation is noise, so
+  /// Below this many ranked hint sets a top-half split is noise, so
   /// the churn signal reports perfect stability instead.
   static constexpr std::size_t kMinChurnSignalHints = 4;
   /// Ring of per-window decay factors for the lazy fold. Must exceed

@@ -1,8 +1,10 @@
 #include "sim/trace_io.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -44,6 +46,45 @@ bool ReadScalar(std::FILE* f, Fnv1a& sum, T* value) {
   return ReadRaw(f, sum, value, sizeof(*value));
 }
 
+// The one request-record codec both directions share. On disk a record
+// is page(4) hint_set(4) client(2) op(1) write_kind(1), native byte
+// order, no padding, so a chunk's bytes (and its checksum contribution)
+// are exactly those of its records written one field at a time.
+constexpr std::size_t kRecordBytes = 12;
+static_assert(sizeof(PageId) == 4 && sizeof(HintSetId) == 4 &&
+                  sizeof(ClientId) == 2,
+              "the .trc record layout is fixed");
+
+void EncodeRecord(const Request& r, unsigned char* p) {
+  std::memcpy(p, &r.page, 4);
+  std::memcpy(p + 4, &r.hint_set, 4);
+  std::memcpy(p + 8, &r.client, 2);
+  p[10] = static_cast<std::uint8_t>(r.op);
+  p[11] = static_cast<std::uint8_t>(r.write_kind);
+}
+
+/// Decodes and validates one record: false on an op or write kind
+/// outside the enums, or a hint id that does not index the registry (so
+/// a trace with requests but no interned hints is malformed).
+bool DecodeRecord(const unsigned char* p, std::uint64_t num_hints,
+                  Request* r) {
+  std::memcpy(&r->page, p, 4);
+  std::memcpy(&r->hint_set, p + 4, 4);
+  std::memcpy(&r->client, p + 8, 2);
+  if (p[10] > 1 || p[11] > 2 || r->hint_set >= num_hints) return false;
+  r->op = static_cast<OpType>(p[10]);
+  r->write_kind = static_cast<WriteKind>(p[11]);
+  return true;
+}
+
+/// One chunk's worth of record bytes, or less for a shorter trace.
+std::vector<unsigned char> ChunkBuffer(std::uint64_t num_requests) {
+  const std::uint64_t records =
+      std::min<std::uint64_t>(num_requests, kTraceChunkRecords);
+  return std::vector<unsigned char>(
+      static_cast<std::size_t>(records) * kRecordBytes);
+}
+
 }  // namespace
 
 bool SaveTrace(const Trace& trace, const std::string& path) {
@@ -78,12 +119,15 @@ bool SaveTrace(const Trace& trace, const std::string& path) {
 
   const std::uint64_t num_requests = trace.requests.size();
   ok = ok && WriteScalar(f, sum, num_requests);
-  for (std::uint64_t i = 0; ok && i < num_requests; ++i) {
-    const Request& r = trace.requests[i];
-    ok = WriteScalar(f, sum, r.page) && WriteScalar(f, sum, r.hint_set) &&
-         WriteScalar(f, sum, r.client) &&
-         WriteScalar(f, sum, static_cast<std::uint8_t>(r.op)) &&
-         WriteScalar(f, sum, static_cast<std::uint8_t>(r.write_kind));
+  std::vector<unsigned char> chunk = ChunkBuffer(num_requests);
+  for (std::uint64_t i = 0; ok && i < num_requests;) {
+    const std::uint64_t n =
+        std::min<std::uint64_t>(kTraceChunkRecords, num_requests - i);
+    for (std::uint64_t j = 0; j < n; ++j) {
+      EncodeRecord(trace.requests[i + j], chunk.data() + j * kRecordBytes);
+    }
+    ok = WriteRaw(f, sum, chunk.data(), n * kRecordBytes);
+    i += n;
   }
 
   if (ok) {
@@ -151,26 +195,28 @@ std::optional<Trace> LoadTrace(const std::string& path,
 
   std::uint64_t num_requests = 0;
   if (!ReadScalar(f, sum, &num_requests) ||
-      num_requests > static_cast<std::uint64_t>(file_size) / 12) {
-    return std::nullopt;  // each request record is 12 bytes on disk
+      num_requests > static_cast<std::uint64_t>(file_size) / kRecordBytes) {
+    return std::nullopt;
   }
   trace.requests.resize(num_requests);
   ClientId max_client = 0;
-  for (std::uint64_t i = 0; i < num_requests; ++i) {
-    Request& r = trace.requests[i];
-    std::uint8_t op = 0, write_kind = 0;
-    if (!ReadScalar(f, sum, &r.page) || !ReadScalar(f, sum, &r.hint_set) ||
-        !ReadScalar(f, sum, &r.client) || !ReadScalar(f, sum, &op) ||
-        !ReadScalar(f, sum, &write_kind)) {
+  // One fread and one checksum pass per chunk; FNV-1a streams, so
+  // mixing a chunk equals mixing its records field by field.
+  std::vector<unsigned char> chunk = ChunkBuffer(num_requests);
+  for (std::uint64_t i = 0; i < num_requests;) {
+    const std::uint64_t n =
+        std::min<std::uint64_t>(kTraceChunkRecords, num_requests - i);
+    if (!ReadRaw(f, sum, chunk.data(), n * kRecordBytes)) {
       return std::nullopt;
     }
-    if (op > 1 || write_kind > 2) return std::nullopt;
-    // Every request's hint id must index the registry; a trace with
-    // requests but no interned hints is malformed.
-    if (r.hint_set >= num_hints) return std::nullopt;
-    r.op = static_cast<OpType>(op);
-    r.write_kind = static_cast<WriteKind>(write_kind);
-    if (r.client > max_client) max_client = r.client;
+    for (std::uint64_t j = 0; j < n; ++j) {
+      Request& r = trace.requests[i + j];
+      if (!DecodeRecord(chunk.data() + j * kRecordBytes, num_hints, &r)) {
+        return std::nullopt;
+      }
+      if (r.client > max_client) max_client = r.client;
+    }
+    i += n;
   }
   // Requests stream through this loop anyway, so the client bound comes
   // for free — Simulate() then never re-scans a loaded trace.

@@ -2,7 +2,11 @@
 // ICDT 2005) on the stream-summary data structure: counter nodes hang off
 // count-buckets kept in a sorted doubly-linked list, so Offer() is O(1)
 // (plus one expected-O(1) hash lookup) for every case — increment,
-// insert, and min-replacement alike.
+// insert, and min-replacement alike. The item index is a fixed-capacity
+// open-addressing table sized in the constructor (at least twice the
+// counters, so it is never more than half full), so a min-replacement's
+// erase and insert touch no allocator: once the node and bucket arrays
+// reach k entries, Offer() never allocates.
 //
 // Guarantees (with k counters over a stream of N items):
 //   * every monitored item i satisfies true_count <= Count(i) and
@@ -10,8 +14,9 @@
 //   * any item with true count > N/k is guaranteed to be monitored.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <functional>
 #include <vector>
 
 namespace clic {
@@ -28,19 +33,22 @@ class SpaceSaving {
   explicit SpaceSaving(std::size_t k) : capacity_(k == 0 ? 1 : k) {
     nodes_.reserve(capacity_);
     buckets_.reserve(capacity_ + 1);
-    index_.reserve(capacity_ * 2);
+    free_buckets_.reserve(capacity_ + 1);
+    while ((std::size_t{1} << index_bits_) < 2 * capacity_) ++index_bits_;
+    index_.assign(std::size_t{1} << index_bits_, kInvalid);
   }
 
   /// Observes one occurrence of `item`.
+  // clic-lint: hot-path
   void Offer(const T& item) {
-    auto it = index_.find(item);
-    if (it != index_.end()) {
-      Increment(it->second);
+    const std::size_t slot = FindSlot(item);
+    if (index_[slot] != kInvalid) {
+      Increment(index_[slot]);
       return;
     }
     if (nodes_.size() < capacity_) {
       const std::uint32_t n = NewNode(item, /*count=*/0, /*error=*/0);
-      index_.emplace(item, n);
+      index_[slot] = n;
       Increment(n);
       return;
     }
@@ -48,29 +56,30 @@ class SpaceSaving {
     // of the newcomer.
     const std::uint32_t b = min_bucket_;
     const std::uint32_t n = buckets_[b].head;
-    index_.erase(nodes_[n].item);
+    EraseSlot(FindSlot(nodes_[n].item));
     nodes_[n].item = item;
     nodes_[n].error = buckets_[b].count;
-    index_.emplace(item, n);
+    // The erase may have shifted entries, so probe again for the hole.
+    index_[FindSlot(item)] = n;
     Increment(n);
   }
 
   std::size_t size() const { return nodes_.size(); }
   std::size_t capacity() const { return capacity_; }
 
-  bool Contains(const T& item) const { return index_.count(item) != 0; }
+  bool Contains(const T& item) const {
+    return index_[FindSlot(item)] != kInvalid;
+  }
 
   /// Estimated count (upper bound on the true count); 0 if unmonitored.
   std::uint64_t Count(const T& item) const {
-    auto it = index_.find(item);
-    if (it == index_.end()) return 0;
-    return buckets_[nodes_[it->second].bucket].count;
+    const std::uint32_t n = index_[FindSlot(item)];
+    return n == kInvalid ? 0 : buckets_[nodes_[n].bucket].count;
   }
 
   std::uint64_t Error(const T& item) const {
-    auto it = index_.find(item);
-    if (it == index_.end()) return 0;
-    return nodes_[it->second].error;
+    const std::uint32_t n = index_[FindSlot(item)];
+    return n == kInvalid ? 0 : nodes_[n].error;
   }
 
   /// All monitored entries, highest count first.
@@ -92,7 +101,7 @@ class SpaceSaving {
     nodes_.clear();
     buckets_.clear();
     free_buckets_.clear();
-    index_.clear();
+    std::fill(index_.begin(), index_.end(), kInvalid);
     min_bucket_ = max_bucket_ = kInvalid;
   }
 
@@ -110,6 +119,42 @@ class SpaceSaving {
     std::uint32_t head;        // first node
     std::uint32_t prev, next;  // sorted bucket list (ascending count)
   };
+
+  // ---- item index: node ids in a power-of-two table, linear probing ----
+
+  std::size_t Home(const T& item) const {
+    const std::uint64_t h =
+        static_cast<std::uint64_t>(std::hash<T>{}(item)) *
+        0x9E3779B97F4A7C15ull;  // Fibonacci hashing: identity hashes spread
+    return static_cast<std::size_t>(h >> (64 - index_bits_));
+  }
+
+  /// The slot holding `item`'s node id, or the empty slot ending its
+  /// probe run (where it would be inserted).
+  std::size_t FindSlot(const T& item) const {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t i = Home(item);
+    while (index_[i] != kInvalid && !(nodes_[index_[i]].item == item)) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+
+  /// Empties an occupied slot by backward-shift deletion: later entries
+  /// of the probe run move up into the hole unless that would carry one
+  /// before its home slot, so no tombstones accumulate.
+  void EraseSlot(std::size_t hole) {
+    const std::size_t mask = index_.size() - 1;
+    for (std::size_t j = (hole + 1) & mask; index_[j] != kInvalid;
+         j = (j + 1) & mask) {
+      const std::size_t home = Home(nodes_[index_[j]].item);
+      if (((j - home) & mask) >= ((j - hole) & mask)) {
+        index_[hole] = index_[j];
+        hole = j;
+      }
+    }
+    index_[hole] = kInvalid;
+  }
 
   std::uint32_t NewNode(const T& item, std::uint64_t count,
                         std::uint64_t error) {
@@ -211,7 +256,8 @@ class SpaceSaving {
   std::vector<Node> nodes_;
   std::vector<Bucket> buckets_;
   std::vector<std::uint32_t> free_buckets_;
-  std::unordered_map<T, std::uint32_t> index_;
+  std::vector<std::uint32_t> index_;  // node ids; kInvalid = empty slot
+  int index_bits_ = 1;                // log2(index_.size())
   std::uint32_t min_bucket_ = kInvalid;
   std::uint32_t max_bucket_ = kInvalid;
 };

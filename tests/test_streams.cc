@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -64,6 +66,108 @@ TEST(SpaceSavingTest, ItemsSortedByCount) {
   const auto items = ss.Items();
   for (std::size_t i = 1; i < items.size(); ++i) {
     EXPECT_GE(items[i - 1].count, items[i].count);
+  }
+}
+
+// Naive Space-Saving over a std::map, written from the algorithm's
+// definition plus the stream-summary's tie rules: every offer stamps the
+// touched entry; the replaced minimum is the most recently stamped of
+// the minimum-count entries; Items() lists count descending, then
+// most recently stamped first.
+class ReferenceSpaceSaving {
+ public:
+  explicit ReferenceSpaceSaving(std::size_t k) : k_(k) {}
+
+  void Offer(std::uint32_t item) {
+    ++clock_;
+    auto it = entries_.find(item);
+    if (it != entries_.end()) {
+      ++it->second.count;
+      it->second.stamp = clock_;
+      return;
+    }
+    if (entries_.size() < k_) {
+      entries_[item] = {1, 0, clock_};
+      return;
+    }
+    auto victim = entries_.begin();
+    for (auto e = entries_.begin(); e != entries_.end(); ++e) {
+      if (e->second.count < victim->second.count ||
+          (e->second.count == victim->second.count &&
+           e->second.stamp > victim->second.stamp)) {
+        victim = e;
+      }
+    }
+    const std::uint64_t min_count = victim->second.count;
+    entries_.erase(victim);
+    entries_[item] = {min_count + 1, min_count, clock_};
+  }
+
+  std::vector<SpaceSaving<std::uint32_t>::Entry> Items() const {
+    std::vector<std::pair<std::uint32_t, State>> all(entries_.begin(),
+                                                     entries_.end());
+    std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+      if (a.second.count != b.second.count) {
+        return a.second.count > b.second.count;
+      }
+      return a.second.stamp > b.second.stamp;
+    });
+    std::vector<SpaceSaving<std::uint32_t>::Entry> out;
+    for (const auto& [item, st] : all) {
+      out.push_back({item, st.count, st.error});
+    }
+    return out;
+  }
+
+  void Clear() { entries_.clear(); }
+
+ private:
+  struct State {
+    std::uint64_t count;
+    std::uint64_t error;
+    std::uint64_t stamp;
+  };
+  std::size_t k_;
+  std::uint64_t clock_ = 0;
+  std::map<std::uint32_t, State> entries_;
+};
+
+TEST(SpaceSavingTest, MatchesNaiveReferenceUnderChurnAcrossClears) {
+  // A high-churn stream: far more distinct items than counters, so most
+  // offers are min-replacements and the index erases and inserts on
+  // nearly every request. Items are spread over a wide range so probe
+  // runs collide and wrap in the open-addressing index.
+  for (const std::size_t k : {1, 3, 100}) {
+    SpaceSaving<std::uint32_t> ss(k);
+    ReferenceSpaceSaving ref(k);
+    Rng rng(1000 + k);
+    ZipfGenerator zipf(20'000, 0.8);
+    for (int window = 0; window < 40; ++window) {
+      const int length = 500 + static_cast<int>(rng.Below(5'000));
+      for (int i = 0; i < length; ++i) {
+        const std::uint32_t item =
+            rng.Chance(0.2) ? static_cast<std::uint32_t>(rng.Next())
+                            : zipf(rng) * 7919u;
+        ss.Offer(item);
+        ref.Offer(item);
+      }
+      const auto got = ss.Items();
+      const auto want = ref.Items();
+      ASSERT_EQ(got.size(), want.size()) << "k " << k << " window " << window;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].item, want[i].item)
+            << "k " << k << " window " << window << " position " << i;
+        ASSERT_EQ(got[i].count, want[i].count) << "item " << got[i].item;
+        ASSERT_EQ(got[i].error, want[i].error) << "item " << got[i].item;
+        ASSERT_TRUE(ss.Contains(got[i].item));
+        ASSERT_EQ(ss.Count(got[i].item), got[i].count);
+        ASSERT_EQ(ss.Error(got[i].item), got[i].error);
+      }
+      ss.Clear();
+      ref.Clear();
+      ASSERT_EQ(ss.size(), 0u);
+      ASSERT_TRUE(ss.Items().empty());
+    }
   }
 }
 

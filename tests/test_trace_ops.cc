@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
+#include "common/rng.h"
 #include "core/trace.h"
 
 namespace clic {
@@ -86,6 +89,89 @@ TEST(InjectNoiseHintsTest, DeterministicInSeed) {
           n3.hints->Get(n3.requests[i].hint_set));
   }
   EXPECT_TRUE(any_difference_to_n3) << "different seeds, same noise?";
+}
+
+/// The per-request loop InjectNoiseHints is defined by: copy the base
+/// vector, append the draws, intern. The memoised implementation must
+/// reproduce its requests, ids and registry exactly.
+Trace ReferenceInjectNoiseHints(const Trace& base, int num_types,
+                                int domain_size, double zipf_z,
+                                std::uint64_t seed) {
+  Trace out;
+  out.name = base.name + "+noise" + std::to_string(num_types);
+  Rng rng(seed);
+  ZipfGenerator zipf(static_cast<std::uint64_t>(std::max(1, domain_size)),
+                     zipf_z);
+  for (const Request& r : base.requests) {
+    HintVector v = base.hints->Get(r.hint_set);
+    for (int t = 0; t < num_types; ++t) v.attrs.push_back(zipf(rng));
+    Request nr = r;
+    nr.hint_set = out.hints->Intern(std::move(v));
+    out.requests.push_back(nr);
+  }
+  out.client_bound = base.client_bound;
+  return out;
+}
+
+Trace ManyHintTrace() {
+  Trace trace;
+  trace.name = "many";
+  Rng rng(77);
+  for (std::uint32_t h = 0; h < 25; ++h) {
+    trace.hints->Intern(
+        HintVector{static_cast<ClientId>(h % 2), {h % 5, h / 5, h * 3}});
+  }
+  for (int i = 0; i < 60'000; ++i) {
+    Request r;
+    r.page = static_cast<PageId>(rng.Below(10'000));
+    r.hint_set = static_cast<HintSetId>(rng.Below(25));
+    r.client = static_cast<ClientId>(r.hint_set % 2);
+    if (rng.Chance(0.25)) {
+      r.op = OpType::kWrite;
+      r.write_kind = WriteKind::kReplacement;
+    }
+    trace.requests.push_back(r);
+  }
+  trace.CacheMaxClient();
+  return trace;
+}
+
+TEST(InjectNoiseHintsTest, MatchesPerRequestInterningReference) {
+  const Trace base = ManyHintTrace();
+  struct Setting {
+    int types, domain;
+    double z;
+    std::uint64_t seed;
+  };
+  const Setting settings[] = {
+      {1, 10, 1.0, 7},       {3, 10, 1.0, 2009},  // the Figure 10 shape
+      {2, 1000, 0.5, 11},    {4, 50, 0.0, 12},
+      {3, 0, 1.0, 5},        // domain clamps to 1: one tuple
+      {20, 10, 1.0, 3},      // 25 * 10^20 keys: outside the memo
+      {4, 1 << 16, 1.2, 4},  // 25 * 2^64 keys: outside the memo
+  };
+  for (const Setting& s : settings) {
+    SCOPED_TRACE("types " + std::to_string(s.types) + " domain " +
+                 std::to_string(s.domain) + " seed " + std::to_string(s.seed));
+    const Trace got = InjectNoiseHints(base, s.types, s.domain, s.z, s.seed);
+    const Trace want =
+        ReferenceInjectNoiseHints(base, s.types, s.domain, s.z, s.seed);
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.client_bound, want.client_bound);
+    ASSERT_EQ(got.requests.size(), want.requests.size());
+    for (std::size_t i = 0; i < want.requests.size(); ++i) {
+      const Request& a = got.requests[i];
+      const Request& b = want.requests[i];
+      ASSERT_TRUE(a.page == b.page && a.hint_set == b.hint_set &&
+                  a.client == b.client && a.op == b.op &&
+                  a.write_kind == b.write_kind)
+          << "request " << i;
+    }
+    ASSERT_EQ(got.hints->size(), want.hints->size());
+    for (HintSetId h = 0; h < want.hints->size(); ++h) {
+      ASSERT_EQ(got.hints->Get(h), want.hints->Get(h)) << "hint set " << h;
+    }
+  }
 }
 
 TEST(InterleaveTest, RoundRobinWithClientTagging) {
