@@ -18,8 +18,8 @@
 //   aborts on any imbalance, and the JSON rows (mode="net") carry the
 //   raw fields for tools/check_bench_floors.py.
 //
-//   bench_net_serving [--workload=NAME_OR_SPEC]
-//                     [--benchmark_filter=WireResilience/.*]
+//   CLIC_BENCH_WORKLOAD=NAME_OR_SPEC bench_net_serving
+//       [--benchmark_filter=WireResilience/.*]
 //
 // The antagonists are real misbehaving TCP peers, not fault-plan
 // clauses: the point is that the server's deadlines and fail-closed
@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/cli_util.h"
 #include "server/net/net_server.h"
 #include "server/net/wire_client.h"
 
@@ -65,32 +64,6 @@ constexpr double kReadTimeoutMs = 5.0;
 constexpr std::size_t kSlowloris = 1;
 constexpr std::size_t kChurn = 1;
 
-[[noreturn]] void LedgerFailure(const char* what,
-                                const server::AdmissionStats& a,
-                                const server::net::NetStats& n,
-                                const server::net::WireLoadResult& w) {
-  std::fprintf(
-      stderr,
-      "bench_net_serving: WIRE LEDGER BROKEN (%s): adm submitted=%llu "
-      "applied=%llu shed=%llu timed_out=%llu expired=%llu stopped=%llu | "
-      "net frames=%llu frame_requests=%llu rejected=%llu/%llu | client "
-      "submitted=%llu applied=%llu conn_lost=%llu\n",
-      what, static_cast<unsigned long long>(a.submitted_requests),
-      static_cast<unsigned long long>(a.applied_requests),
-      static_cast<unsigned long long>(a.shed_requests),
-      static_cast<unsigned long long>(a.timed_out_requests),
-      static_cast<unsigned long long>(a.expired_requests),
-      static_cast<unsigned long long>(a.stopped_requests),
-      static_cast<unsigned long long>(n.frames),
-      static_cast<unsigned long long>(n.frame_requests),
-      static_cast<unsigned long long>(n.rejected_frames),
-      static_cast<unsigned long long>(n.rejected_requests),
-      static_cast<unsigned long long>(w.submitted_requests),
-      static_cast<unsigned long long>(w.applied_requests),
-      static_cast<unsigned long long>(w.conn_lost_requests));
-  std::abort();
-}
-
 /// The wire-edge ledger, checked exactly: (1) every well-formed frame's
 /// requests reached Submit (net.frame_requests == adm.submitted); (2)
 /// the client-side tally of status replies balances against what it
@@ -98,20 +71,20 @@ constexpr std::size_t kChurn = 1;
 void CheckWireLedger(const server::AdmissionStats& a,
                      const server::net::NetStats& n,
                      const server::net::WireLoadResult& w) {
-  if (a.submitted_requests != n.frame_requests ||
-      a.submitted_batches != n.frames) {
-    LedgerFailure("frames vs submits", a, n, w);
+  if (a.submitted_requests == n.frame_requests &&
+      a.submitted_batches == n.frames && w.ledger.Balanced()) {
+    return;
   }
-  if (w.submitted_requests !=
-      w.applied_requests + w.shed_requests + w.timed_out_requests +
-          w.expired_requests + w.stopped_requests + w.conn_lost_requests) {
-    LedgerFailure("client request ledger", a, n, w);
-  }
-  if (w.submitted_batches !=
-      w.applied_batches + w.shed_batches + w.timed_out_batches +
-          w.expired_batches + w.stopped_batches + w.conn_lost_batches) {
-    LedgerFailure("client batch ledger", a, n, w);
-  }
+  std::fprintf(stderr,
+               "bench_net_serving: WIRE LEDGER BROKEN: net frames=%llu "
+               "frame_requests=%llu rejected=%llu/%llu | server %s | "
+               "client %s\n",
+               static_cast<unsigned long long>(n.frames),
+               static_cast<unsigned long long>(n.frame_requests),
+               static_cast<unsigned long long>(n.rejected_frames),
+               static_cast<unsigned long long>(n.rejected_requests),
+               a.Describe().c_str(), w.ledger.Describe().c_str());
+  std::abort();
 }
 
 server::net::NetServerOptions MakeServerOptions(std::size_t conn_limit,
@@ -242,7 +215,7 @@ void AppendNetRow(const std::string& name,
   extra.append(",\"accepted\":");
   extra.append(std::to_string(n.accepted));
   extra.append(",\"conn_lost\":");
-  extra.append(std::to_string(w.conn_lost_requests));
+  extra.append(std::to_string(w.ledger.conn_lost_requests));
   extra.append(",\"cores_detected\":");
   extra.append(
       std::to_string(std::max(1u, std::thread::hardware_concurrency())));
@@ -295,7 +268,6 @@ void WireServing(benchmark::State& state, const std::string& workload,
   state.counters["wire_p50_us"] = w.p50_us;
   state.counters["wire_p99_us"] = w.p99_us;
   state.counters["served"] = static_cast<double>(adm.applied_requests);
-  state.SetItemsProcessed(static_cast<std::int64_t>(adm.applied_requests));
   AppendNetRow(name, adm, net, w, -1.0);
 }
 
@@ -378,7 +350,6 @@ void WireResilience(benchmark::State& state, const std::string& workload,
   state.counters["slowloris_evictions"] =
       static_cast<double>(net.evicted_read);
   state.counters["churn_rejects"] = static_cast<double>(churn_cycles);
-  state.SetItemsProcessed(static_cast<std::int64_t>(adm.applied_requests));
 
   if (net.evicted_read == 0 || net.rejected_requests == 0) {
     // The antagonists must actually have bitten — a resilience number
@@ -419,31 +390,8 @@ void RegisterNetServing(const std::string& workload) {
       ->Unit(benchmark::kMillisecond);
 }
 
+[[maybe_unused]] const bool kRegistered =
+    (RegisterNetServing(BenchWorkloadFromEnv("bench_net_serving")), true);
+
 }  // namespace
 }  // namespace clic::bench
-
-int main(int argc, char** argv) {
-  std::string workload = "DB2_C60";
-  std::vector<char*> args;
-  args.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string prefix = "--workload=";
-    if (arg.rfind(prefix, 0) == 0) {
-      workload = arg.substr(prefix.size());
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  clic::cli::RequireKnownWorkload("bench_net_serving", "--workload",
-                                  workload);
-  clic::bench::RegisterNetServing(workload);
-  int bench_argc = static_cast<int>(args.size());
-  benchmark::Initialize(&bench_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}

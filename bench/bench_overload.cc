@@ -11,8 +11,8 @@
 //      The bench aborts on any imbalance, so a CI run doubles as the
 //      accounting gate.
 //
-//   bench_overload [--workload=NAME_OR_SPEC]
-//                  [--benchmark_filter=Overload/.*/shed/.*]
+//   CLIC_BENCH_WORKLOAD=NAME_OR_SPEC bench_overload
+//       [--benchmark_filter=Overload/.*/shed/.*]
 //
 // Traffic model: the workload is hash-partitioned by shard and each
 // client's batches target exactly one shard (what a routing front end
@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/cli_util.h"
 #include "server/cache_server.h"
 #include "server/fault_injection.h"
 
@@ -59,7 +58,6 @@ struct DriverOutcome {
 
 struct RunOutcome {
   server::AdmissionStats adm;
-  std::vector<std::uint64_t> shard_requests;  // applied, per shard
   std::vector<DriverOutcome> drivers;
   std::uint64_t watchdog_sheds = 0;
   unsigned consumers = 0;  // owning-consumer threads the server ran
@@ -68,49 +66,17 @@ struct RunOutcome {
   double drain_p99_us = 0.0;
 };
 
-double Percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const std::size_t rank = static_cast<std::size_t>(
-      std::min<double>(static_cast<double>(sorted.size() - 1),
-                       q * static_cast<double>(sorted.size() - 1)));
-  return sorted[rank];
-}
-
-[[noreturn]] void AccountingFailure(const char* what,
-                                    const server::AdmissionStats& a) {
-  std::fprintf(
-      stderr,
-      "bench_overload: ACCOUNTING BROKEN (%s): submitted=%llu/%llu "
-      "enqueued=%llu applied=%llu shed=%llu timed_out=%llu expired=%llu "
-      "stopped=%llu (batches/requests)\n",
-      what, static_cast<unsigned long long>(a.submitted_batches),
-      static_cast<unsigned long long>(a.submitted_requests),
-      static_cast<unsigned long long>(a.enqueued_batches),
-      static_cast<unsigned long long>(a.applied_batches),
-      static_cast<unsigned long long>(a.shed_batches),
-      static_cast<unsigned long long>(a.timed_out_batches),
-      static_cast<unsigned long long>(a.expired_batches),
-      static_cast<unsigned long long>(a.stopped_batches));
-  std::abort();
-}
-
 /// Every batch must be accounted for exactly once; see the
 /// AdmissionStats invariants in server/cache_server.h.
 void CheckAccounting(const server::AdmissionStats& a,
                      std::uint64_t driver_submitted_batches) {
-  if (a.submitted_batches != driver_submitted_batches) {
-    AccountingFailure("driver/server submitted mismatch", a);
-  }
-  if (a.submitted_batches != a.applied_batches + a.shed_batches +
-                                 a.timed_out_batches + a.expired_batches +
-                                 a.stopped_batches) {
-    AccountingFailure("batch ledger imbalance", a);
-  }
-  if (a.submitted_requests != a.applied_requests + a.shed_requests +
-                                  a.timed_out_requests + a.expired_requests +
-                                  a.stopped_requests) {
-    AccountingFailure("request ledger imbalance", a);
-  }
+  if (a.submitted_batches == driver_submitted_batches && a.Balanced()) return;
+  std::fprintf(stderr,
+               "bench_overload: ACCOUNTING BROKEN (drivers submitted %llu "
+               "batches): %s\n",
+               static_cast<unsigned long long>(driver_submitted_batches),
+               a.Describe().c_str());
+  std::abort();
 }
 
 /// One full serve of the partitioned workload. Client c's batches all
@@ -177,12 +143,9 @@ RunOutcome RunOnce(const std::vector<Trace>& parts,
   out.adm = server.TotalAdmission();
   out.watchdog_sheds = server.watchdog_sheds();
   out.consumers = server.consumers();
-  for (const CacheStats& s : server.PerShardStats()) {
-    out.shard_requests.push_back(s.reads + s.writes);
-  }
   const std::vector<double> drain_us = server.DrainLatenciesUs();
-  out.drain_p50_us = Percentile(drain_us, 0.50);
-  out.drain_p99_us = Percentile(drain_us, 0.99);
+  out.drain_p50_us = server::Percentile(drain_us, 0.50);
+  out.drain_p99_us = server::Percentile(drain_us, 0.99);
 
   std::uint64_t driver_batches = 0;
   for (const DriverOutcome& d : out.drivers) {
@@ -267,7 +230,6 @@ void Overload(benchmark::State& state, const std::string& workload,
           ? static_cast<double>(a.applied_requests) / faulted.wall_seconds
           : 0.0;
   state.counters["requests_per_sec"] = applied_rps;
-  state.SetItemsProcessed(static_cast<std::int64_t>(a.applied_requests));
 
   BenchJsonRow row;
   row.bench = name;
@@ -334,30 +296,8 @@ void RegisterOverload(const std::string& workload) {
   }
 }
 
+[[maybe_unused]] const bool kRegistered =
+    (RegisterOverload(BenchWorkloadFromEnv("bench_overload")), true);
+
 }  // namespace
 }  // namespace clic::bench
-
-int main(int argc, char** argv) {
-  std::string workload = "DB2_C60";
-  std::vector<char*> args;
-  args.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string prefix = "--workload=";
-    if (arg.rfind(prefix, 0) == 0) {
-      workload = arg.substr(prefix.size());
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  clic::cli::RequireKnownWorkload("bench_overload", "--workload", workload);
-  clic::bench::RegisterOverload(workload);
-  int bench_argc = static_cast<int>(args.size());
-  benchmark::Initialize(&bench_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}

@@ -4,24 +4,19 @@
 // machine runs out of cores; this driver pins the numbers down
 // (bench/README.md records the baselines).
 //
-//   bench_server_scaling [--workload=NAME_OR_SPEC]
-//                        [--benchmark_filter=ServerScaling/.*/LRU/.*]
+//   CLIC_BENCH_WORKLOAD=NAME_OR_SPEC bench_server_scaling
+//       [--benchmark_filter=ServerScaling/.*/LRU/.*]
 //
-// --workload (default DB2_C60) drives the server with any workload
-// token: a named paper trace, a scenario preset such as scan-pollute,
-// or an inline spec like 'zipf:pages=120000,theta=0.9' — this binary
-// owns its main() so the flag can be stripped before google-benchmark
-// parses the rest.
+// CLIC_BENCH_WORKLOAD (default DB2_C60) drives the server with any
+// workload token (see BenchWorkloadFromEnv in bench_util.h).
 //
-// Counter `requests_per_sec` is the headline; `p99_us` tracks tail
-// batch latency so a throughput win can't silently buy unbounded
-// queueing delay.
+// Counter `requests_per_sec` is the headline, the wall-clock rate the
+// JSON row carries too; `p99_us` tracks tail batch latency so a
+// throughput win can't silently buy unbounded queueing delay.
 #include <algorithm>
 #include <string>
-#include <vector>
 
 #include "bench_util.h"
-#include "common/cli_util.h"
 #include "server/cache_server.h"
 
 namespace clic::bench {
@@ -47,12 +42,7 @@ void ServerScaling(benchmark::State& state, PolicyKind kind,
   for (auto _ : state) {
     result = server::ServeTrace(trace, options, load);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(result.requests) *
-                          static_cast<std::int64_t>(state.iterations()));
-  state.counters["requests_per_sec"] = benchmark::Counter(
-      static_cast<double>(result.requests) *
-          static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate);
+  state.counters["requests_per_sec"] = result.throughput_rps;
   state.counters["p50_us"] = result.p50_us;
   state.counters["p99_us"] = result.p99_us;
   state.counters["read_hit_ratio"] = result.total.ReadHitRatio();
@@ -101,31 +91,9 @@ void RegisterServerScaling(const std::string& workload) {
   }
 }
 
+[[maybe_unused]] const bool kRegistered =
+    (RegisterServerScaling(BenchWorkloadFromEnv("bench_server_scaling")),
+     true);
+
 }  // namespace
 }  // namespace clic::bench
-
-int main(int argc, char** argv) {
-  std::string workload = "DB2_C60";
-  std::vector<char*> args;
-  args.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string prefix = "--workload=";
-    if (arg.rfind(prefix, 0) == 0) {
-      workload = arg.substr(prefix.size());
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  clic::cli::RequireKnownWorkload("bench_server_scaling", "--workload",
-                                  workload);
-  clic::bench::RegisterServerScaling(workload);
-  int bench_argc = static_cast<int>(args.size());
-  benchmark::Initialize(&bench_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}

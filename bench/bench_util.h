@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/cli_util.h"
 #include "common/rng.h"
 #include "sim/policy_factory.h"
 #include "sim/simulator.h"
@@ -32,6 +33,18 @@ namespace clic::bench {
 /// sweep/trace_cache.h). Unknown names abort.
 inline const Trace& GetTrace(const std::string& name) {
   return sweep::TraceCache::Global().Get(name);
+}
+
+/// The workload the server benches drive: $CLIC_BENCH_WORKLOAD (a named
+/// paper trace, a scenario preset such as scan-pollute, or an inline
+/// spec like 'zipf:pages=120000,theta=0.9'), DB2_C60 when unset. An
+/// unknown token exits non-zero naming the valid set before any bench
+/// registers.
+inline std::string BenchWorkloadFromEnv(const char* prog) {
+  const char* env = std::getenv("CLIC_BENCH_WORKLOAD");
+  const std::string name = env != nullptr && *env != '\0' ? env : "DB2_C60";
+  cli::RequireKnownWorkload(prog, "CLIC_BENCH_WORKLOAD", name);
+  return name;
 }
 
 /// CLIC options used throughout the evaluation (paper Section 6.1):

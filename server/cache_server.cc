@@ -72,28 +72,26 @@ Trace FilterShedBatches(const Trace& trace, const LoadOptions& load,
   out.name = trace.name;
   out.hints = trace.hints;  // read-only alias, like PartitionedSimulate
   out.client_bound = trace.client_bound;
-  const std::uint64_t n =
-      request_budget > 0 ? std::min<std::uint64_t>(trace.size(), request_budget)
-                         : trace.size();
-  const std::uint64_t every = plan != nullptr ? plan->shed_every : 0;
-  out.requests.reserve(static_cast<std::size_t>(n));
-  const std::uint64_t clients = std::max<std::size_t>(1, load.clients);
-  const std::uint64_t batch = std::max<std::size_t>(1, load.batch_size);
-  // Mirrors ServeTrace's driver loop exactly: contiguous per-client
-  // chunks, fixed batch grid, 1-based per-client submit index.
-  for (std::uint64_t c = 0; c < clients; ++c) {
-    const std::uint64_t begin = n * c / clients;
-    const std::uint64_t end = n * (c + 1) / clients;
+  // A port that keeps what the server would apply: the plan sheds each
+  // client's every-th batch by its 1-based submit index.
+  struct KeepPort final : LoadPort {
+    std::vector<Request>* kept;
+    std::uint64_t every;
     std::uint64_t index = 0;
-    for (std::uint64_t pos = begin; pos < end; pos += batch) {
-      ++index;
-      if (every > 0 && index % every == 0) continue;
-      const std::uint64_t count = std::min<std::uint64_t>(batch, end - pos);
-      out.requests.insert(
-          out.requests.end(), trace.requests.begin() + static_cast<long>(pos),
-          trace.requests.begin() + static_cast<long>(pos + count));
+    KeepPort(std::vector<Request>* k, std::uint64_t e) : kept(k), every(e) {}
+    BatchOutcome Send(const Request* requests, std::size_t n) override {
+      if (every > 0 && ++index % every == 0) return SubmitResult::kShed;
+      kept->insert(kept->end(), requests, requests + n);
+      return SubmitResult::kApplied;
     }
-  }
+  };
+  const std::uint64_t every = plan != nullptr ? plan->shed_every : 0;
+  LoadOptions grid = load;
+  grid.request_budget = request_budget;
+  grid.duration_seconds = 0.0;
+  DriveLoad(trace, grid, /*sequential=*/true, [&](std::size_t) {
+    return std::make_unique<KeepPort>(&out.requests, every);
+  });
   return out;
 }
 
@@ -1028,108 +1026,180 @@ std::vector<double> CacheServer::DrainLatenciesUs() const {
     merged.insert(merged.end(), shard->drain_us.begin(),
                   shard->drain_us.end());
   }
-  std::sort(merged.begin(), merged.end());
   return merged;
+}
+
+void AdmissionStats::Count(BatchOutcome outcome, std::uint64_t requests) {
+  ++submitted_batches;
+  submitted_requests += requests;
+  auto bump = [requests](std::uint64_t& batches, std::uint64_t& reqs) {
+    ++batches;
+    reqs += requests;
+  };
+  if (!outcome) {
+    bump(conn_lost_batches, conn_lost_requests);
+    return;
+  }
+  switch (*outcome) {
+    case SubmitResult::kApplied:
+      bump(applied_batches, applied_requests);
+      break;
+    case SubmitResult::kEnqueued:
+      bump(enqueued_batches, enqueued_requests);
+      break;
+    case SubmitResult::kShed:
+      bump(shed_batches, shed_requests);
+      break;
+    case SubmitResult::kTimedOut:
+      bump(timed_out_batches, timed_out_requests);
+      break;
+    case SubmitResult::kExpired:
+      bump(expired_batches, expired_requests);
+      break;
+    case SubmitResult::kStopped:
+      bump(stopped_batches, stopped_requests);
+      break;
+  }
+}
+
+bool AdmissionStats::Balanced() const {
+  return submitted_batches == applied_batches + shed_batches +
+                                  timed_out_batches + expired_batches +
+                                  stopped_batches + conn_lost_batches &&
+         submitted_requests == applied_requests + shed_requests +
+                                   timed_out_requests + expired_requests +
+                                   stopped_requests + conn_lost_requests;
+}
+
+std::string AdmissionStats::Describe() const {
+  auto pair = [](const char* name, std::uint64_t b, std::uint64_t r) {
+    return std::string(name) + "=" + std::to_string(b) + "/" +
+           std::to_string(r);
+  };
+  return pair("submitted", submitted_batches, submitted_requests) +
+         " vs " + pair("applied", applied_batches, applied_requests) +
+         " + " + pair("shed", shed_batches, shed_requests) + " + " +
+         pair("timed_out", timed_out_batches, timed_out_requests) + " + " +
+         pair("expired", expired_batches, expired_requests) + " + " +
+         pair("stopped", stopped_batches, stopped_requests) + " + " +
+         pair("conn_lost", conn_lost_batches, conn_lost_requests) +
+         " (batches/requests)";
+}
+
+double Percentile(std::vector<double> samples, double q) {
+  if (samples.empty()) return 0.0;
+  const double rank = std::ceil(q * static_cast<double>(samples.size()));
+  const std::size_t k = static_cast<std::size_t>(std::clamp(
+      rank - 1.0, 0.0, static_cast<double>(samples.size() - 1)));
+  std::nth_element(samples.begin(), samples.begin() + static_cast<long>(k),
+                   samples.end());
+  return samples[k];
 }
 
 namespace {
 
-double PercentileUs(const std::vector<double>& sorted_us, double q) {
-  if (sorted_us.empty()) return 0.0;
-  const std::size_t rank = static_cast<std::size_t>(
-      std::min<double>(static_cast<double>(sorted_us.size() - 1),
-                       q * static_cast<double>(sorted_us.size() - 1)));
-  return sorted_us[rank];
+void CheckLoadOptions(const LoadOptions& load, const char* who) {
+  if (load.clients == 0) {
+    throw std::invalid_argument(std::string(who) +
+                                ": need at least one client");
+  }
+  if (load.batch_size == 0) {
+    throw std::invalid_argument(std::string(who) +
+                                ": batch_size must be >= 1");
+  }
 }
+
+/// The in-process port: Submit per batch, Finish when the run ends.
+class InProcessPort final : public LoadPort {
+ public:
+  InProcessPort(CacheServer* server, std::size_t client)
+      : server_(server), client_(client) {}
+  ~InProcessPort() override { server_->Finish(client_); }
+  BatchOutcome Send(const Request* requests, std::size_t n) override {
+    return server_->Submit(client_, requests, n);
+  }
+
+ private:
+  CacheServer* server_;
+  std::size_t client_;
+};
 
 }  // namespace
 
-ServeResult ServeTrace(const Trace& trace, const ServerOptions& options,
-                       const LoadOptions& load) {
-  if (load.clients == 0) {
-    throw std::invalid_argument("ServeTrace: need at least one client");
-  }
-  if (load.batch_size == 0) {
-    throw std::invalid_argument("ServeTrace: batch_size must be >= 1");
-  }
-  if (options.deterministic && load.duration_seconds > 0.0) {
-    throw std::invalid_argument(
-        "ServeTrace: duration mode replays chunks in wall-clock order and "
-        "cannot be deterministic");
-  }
-  std::uint64_t n = trace.size();
-  if (load.request_budget > 0) n = std::min<std::uint64_t>(n, load.request_budget);
-
-  CacheServer server(options, load.clients);
+LoadResult DriveLoad(const Trace& trace, const LoadOptions& load,
+                     bool sequential, const PortFactory& open_port) {
+  CheckLoadOptions(load, "DriveLoad");
+  using Clock = std::chrono::steady_clock;
+  const std::uint64_t n =
+      load.request_budget > 0
+          ? std::min<std::uint64_t>(trace.size(), load.request_budget)
+          : trace.size();
   const std::size_t clients = load.clients;
+  const bool timed = load.duration_seconds > 0.0;
+  std::vector<AdmissionStats> ledgers(clients);
   std::vector<std::vector<double>> latencies_us(clients);
-  std::vector<ClientLoadStats> driver_stats(clients);
 
-  const auto wall_start = std::chrono::steady_clock::now();
-  std::vector<std::thread> drivers;
-  drivers.reserve(clients);
-  for (std::size_t c = 0; c < clients; ++c) {
-    drivers.emplace_back([&, c] {
-      // Contiguous chunk so client streams concatenate to the capped
-      // trace (the determinism rule depends on this layout).
-      const std::uint64_t begin = n * c / clients;
-      const std::uint64_t end = n * (c + 1) / clients;
-      std::vector<double>& lat = latencies_us[c];
-      ClientLoadStats& stats = driver_stats[c];
-      const bool timed = load.duration_seconds > 0.0;
-      bool first_pass = true;
-      bool out_of_time = false;
-      bool stopped = false;
-      do {
-        for (std::uint64_t pos = begin; pos < end; pos += load.batch_size) {
-          // The first pass always completes — every request is applied
-          // at least once — so the deadline only cuts later passes.
-          if (out_of_time && !first_pass) break;
-          const std::size_t count = static_cast<std::size_t>(
-              std::min<std::uint64_t>(load.batch_size, end - pos));
-          const auto t0 = std::chrono::steady_clock::now();
-          const SubmitResult outcome =
-              server.Submit(c, trace.requests.data() + pos, count);
-          const std::chrono::duration<double, std::micro> took =
-              std::chrono::steady_clock::now() - t0;
-          stats.requests += count;
-          ++stats.batches;
-          switch (outcome) {
-            case SubmitResult::kApplied:
-              lat.push_back(took.count());
-              break;
-            case SubmitResult::kShed:
-              ++stats.shed_batches;
-              break;
-            case SubmitResult::kTimedOut:
-              ++stats.timed_out_batches;
-              break;
-            case SubmitResult::kExpired:
-              ++stats.expired_batches;
-              break;
-            case SubmitResult::kStopped:
-              stopped = true;
-              break;
-            case SubmitResult::kEnqueued:
-              break;  // unreachable for closed-loop Submit
-          }
-          if (stopped) break;
-          if (timed) {
-            const std::chrono::duration<double> elapsed =
-                std::chrono::steady_clock::now() - wall_start;
-            out_of_time = elapsed.count() >= load.duration_seconds;
-          }
+  const auto wall_start = Clock::now();
+  const auto out_of_time = [&] {
+    return std::chrono::duration<double>(Clock::now() - wall_start).count() >=
+           load.duration_seconds;
+  };
+  const auto drive = [&](std::size_t c) {
+    const std::unique_ptr<LoadPort> port = open_port(c);
+    // Contiguous chunk so client streams concatenate to the capped
+    // trace (the determinism rule depends on this layout).
+    const std::uint64_t begin = n * c / clients;
+    const std::uint64_t end = n * (c + 1) / clients;
+    // The first pass always completes — every request is sent at least
+    // once — so the deadline only cuts later passes.
+    for (bool first = true; first || (timed && begin < end && !out_of_time());
+         first = false) {
+      for (std::uint64_t pos = begin; pos < end; pos += load.batch_size) {
+        if (!first && out_of_time()) break;
+        const std::size_t count = static_cast<std::size_t>(
+            std::min<std::uint64_t>(load.batch_size, end - pos));
+        const auto t0 = Clock::now();
+        const BatchOutcome outcome =
+            port->Send(trace.requests.data() + pos, count);
+        const std::chrono::duration<double, std::micro> took =
+            Clock::now() - t0;
+        ledgers[c].Count(outcome, count);
+        if (outcome == SubmitResult::kApplied) {
+          latencies_us[c].push_back(took.count());
         }
-        first_pass = false;
-      } while (timed && !out_of_time && !stopped && begin < end);
-      server.Finish(c);
-    });
+        if (outcome == SubmitResult::kStopped) return;
+      }
+    }
+  };
+  if (sequential) {
+    for (std::size_t c = 0; c < clients; ++c) drive(c);
+  } else {
+    std::vector<std::thread> drivers;
+    drivers.reserve(clients);
+    for (std::size_t c = 0; c < clients; ++c) drivers.emplace_back(drive, c);
+    for (std::thread& t : drivers) t.join();
   }
-  for (std::thread& t : drivers) t.join();
-  server.Shutdown();
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - wall_start;
 
+  LoadResult result;
+  result.wall_seconds =
+      std::chrono::duration<double>(Clock::now() - wall_start).count();
+  std::vector<double> all_us;
+  for (std::size_t c = 0; c < clients; ++c) {
+    result.ledger += ledgers[c];
+    all_us.insert(all_us.end(), latencies_us[c].begin(),
+                  latencies_us[c].end());
+  }
+  result.throughput_rps =
+      result.wall_seconds > 0.0
+          ? static_cast<double>(result.ledger.applied_requests) /
+                result.wall_seconds
+          : 0.0;
+  result.p50_us = Percentile(all_us, 0.50);
+  result.p99_us = Percentile(all_us, 0.99);
+  return result;
+}
+
+ServeResult ServeResultOf(const CacheServer& server, const LoadResult& load) {
   ServeResult result;
   result.total = server.TotalStats();
   result.per_client = server.PerClientStats();
@@ -1148,27 +1218,40 @@ ServeResult ServeTrace(const Trace& trace, const ServerOptions& options,
   result.admission = server.TotalAdmission();
   result.quarantined = server.quarantined();
   result.watchdog_sheds = server.watchdog_sheds();
-  if (options.record_drain_latency) {
-    const std::vector<double> drain_us = server.DrainLatenciesUs();
-    result.drain_p50_us = PercentileUs(drain_us, 0.50);
-    result.drain_p99_us = PercentileUs(drain_us, 0.99);
+  const std::vector<double> drain_us = server.DrainLatenciesUs();
+  result.drain_p50_us = Percentile(drain_us, 0.50);
+  result.drain_p99_us = Percentile(drain_us, 0.99);
+  result.wall_seconds = load.wall_seconds;
+  result.throughput_rps = load.throughput_rps;
+  result.p50_us = load.p50_us;
+  result.p99_us = load.p99_us;
+  return result;
+}
+
+ServeResult ServeTrace(const Trace& trace, const ServerOptions& options,
+                       const LoadOptions& load) {
+  CheckLoadOptions(load, "ServeTrace");
+  if (options.deterministic && load.duration_seconds > 0.0) {
+    throw std::invalid_argument(
+        "ServeTrace: duration mode replays chunks in wall-clock order and "
+        "cannot be deterministic");
   }
+  CacheServer server(options, load.clients);
+  const auto wall_start = std::chrono::steady_clock::now();
+  const LoadResult driven =
+      DriveLoad(trace, load, /*sequential=*/false, [&server](std::size_t c) {
+        return std::make_unique<InProcessPort>(&server, c);
+      });
+  server.Shutdown();
+  const std::chrono::duration<double> wall =
+      std::chrono::steady_clock::now() - wall_start;
+  // In process the wall clock runs to the end of Shutdown(), so it
+  // includes the consumers' drain of what the drivers left queued.
+  ServeResult result = ServeResultOf(server, driven);
   result.wall_seconds = wall.count();
   result.throughput_rps =
       wall.count() > 0 ? static_cast<double>(result.requests) / wall.count()
                        : 0.0;
-  std::vector<double> all_us;
-  for (std::size_t c = 0; c < clients; ++c) {
-    std::vector<double>& lat = latencies_us[c];
-    std::sort(lat.begin(), lat.end());
-    driver_stats[c].p50_us = PercentileUs(lat, 0.50);
-    driver_stats[c].p99_us = PercentileUs(lat, 0.99);
-    all_us.insert(all_us.end(), lat.begin(), lat.end());
-  }
-  std::sort(all_us.begin(), all_us.end());
-  result.p50_us = PercentileUs(all_us, 0.50);
-  result.p99_us = PercentileUs(all_us, 0.99);
-  result.per_driver = std::move(driver_stats);
   return result;
 }
 

@@ -45,6 +45,7 @@
 #include <condition_variable>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -90,11 +91,11 @@ SimResult PartitionedSimulate(const Trace& trace, const ServerOptions& options,
                               std::uint64_t request_budget = 0);
 
 /// The requests a deterministic run with fault plan `plan` actually
-/// serves: the budget-capped trace, chunked and batched exactly as
-/// ServeTrace's drivers do, with every batch the plan's `shed_every`
-/// rule rejects removed. With no plan (or no shed clause) this is the
-/// capped trace itself. PartitionedSimulate of this filtered trace is
-/// the verify baseline for a chaos run — non-shed requests must produce
+/// serves: the budget-capped trace, chunked and batched by DriveLoad
+/// itself, with every batch the plan's `shed_every` rule rejects
+/// removed. With no plan (or no shed clause) this is the capped trace
+/// itself. PartitionedSimulate of this filtered trace is the verify
+/// baseline for a chaos run — non-shed requests must produce
 /// bit-identical decisions.
 Trace FilterShedBatches(const Trace& trace, const LoadOptions& load,
                         const fault::FaultPlan* plan,
@@ -110,6 +111,11 @@ enum class SubmitResult : std::uint8_t {
   kStopped,   // Stop() aborted it (while waiting, queued, or in flight)
 };
 const char* SubmitResultName(SubmitResult r);
+
+/// What a client learns about one sent batch: the server's outcome, or
+/// std::nullopt when the connection died before a status arrived (the
+/// wire's conn_lost).
+using BatchOutcome = std::optional<SubmitResult>;
 
 /// Producer behaviour when a client queue is at its depth cap.
 enum class AdmissionPolicy : std::uint8_t {
@@ -142,6 +148,10 @@ std::optional<ShardAssignment> ParseShardAssignment(const std::string& name);
 /// stays batch-exact even when Stop() interrupts a half-applied batch —
 /// in that case the shard-side requests_applied() may exceed the
 /// ledger's applied_requests, which counts whole batches.
+///
+/// The load driver keeps the same ledger at the client edge, where a
+/// wire client adds one bucket: conn_lost, the batches whose status
+/// never arrived (always 0 in the server's own ledger).
 struct AdmissionStats {
   std::uint64_t submitted_batches = 0, submitted_requests = 0;
   std::uint64_t enqueued_batches = 0, enqueued_requests = 0;
@@ -150,6 +160,7 @@ struct AdmissionStats {
   std::uint64_t timed_out_batches = 0, timed_out_requests = 0;
   std::uint64_t expired_batches = 0, expired_requests = 0;
   std::uint64_t stopped_batches = 0, stopped_requests = 0;
+  std::uint64_t conn_lost_batches = 0, conn_lost_requests = 0;
 
   AdmissionStats& operator+=(const AdmissionStats& o) {
     submitted_batches += o.submitted_batches;
@@ -166,8 +177,19 @@ struct AdmissionStats {
     expired_requests += o.expired_requests;
     stopped_batches += o.stopped_batches;
     stopped_requests += o.stopped_requests;
+    conn_lost_batches += o.conn_lost_batches;
+    conn_lost_requests += o.conn_lost_requests;
     return *this;
   }
+
+  /// Counts one submitted batch of `requests` requests under `outcome`.
+  void Count(BatchOutcome outcome, std::uint64_t requests);
+  /// submitted == applied + shed + timed_out + expired + stopped +
+  /// conn_lost, in batches and in requests.
+  bool Balanced() const;
+  /// The ledger as one line, laid out as the balance equation — the
+  /// body of every "ledger broken" message.
+  std::string Describe() const;
 };
 
 struct ServerOptions {
@@ -318,8 +340,9 @@ class CacheServer {
   std::uint64_t quarantined() const;
   /// Batches shed by the watchdog (subset of the shed counts).
   std::uint64_t watchdog_sheds() const;
-  /// Sorted per-drain latencies in microseconds, merged across shards.
-  /// Empty unless options.record_drain_latency was set.
+  /// Per-drain latencies in microseconds, merged across shards (feed
+  /// them to Percentile). Empty unless options.record_drain_latency was
+  /// set.
   std::vector<double> DrainLatenciesUs() const;
 
   std::size_t shards() const { return shards_.size(); }
@@ -540,7 +563,7 @@ class CacheServer {
   std::atomic<std::uint64_t> watchdog_sheds_{0};
 };
 
-/// Closed-loop load generation against a CacheServer.
+/// Closed-loop load generation against a server.
 struct LoadOptions {
   std::size_t clients = 1;
   std::size_t batch_size = 64;
@@ -557,21 +580,48 @@ struct LoadOptions {
   double duration_seconds = 0.0;
 };
 
-struct ClientLoadStats {
-  std::uint64_t requests = 0;  // submitted by this driver
-  std::uint64_t batches = 0;   // submitted by this driver
-  std::uint64_t shed_batches = 0;
-  std::uint64_t timed_out_batches = 0;
-  std::uint64_t expired_batches = 0;
-  double p50_us = 0.0;  // per-batch submit-to-applied latency
+/// One client's channel into a server, as the load driver sees it. It
+/// has one job: send a batch and return its outcome. The in-process
+/// port calls CacheServer::Submit (and Finish when destroyed); the wire
+/// port (server/net/wire_client.h) calls WireClient::Call.
+class LoadPort {
+ public:
+  virtual ~LoadPort() = default;
+  virtual BatchOutcome Send(const Request* requests, std::size_t n) = 0;
+};
+
+/// Opens client `client`'s port, on the thread that then drives it.
+using PortFactory =
+    std::function<std::unique_ptr<LoadPort>(std::size_t client)>;
+
+/// What a driven load saw at the client edge.
+struct LoadResult {
+  /// Every sent batch, counted under the outcome its port returned.
+  AdmissionStats ledger;
+  double wall_seconds = 0.0;    // first send to the last client's end
+  double throughput_rps = 0.0;  // applied requests / wall
+  double p50_us = 0.0;          // per applied batch, send to outcome
   double p99_us = 0.0;
 };
+
+/// The one closed-loop driver behind ServeTrace, RunWireLoad and
+/// FilterShedBatches. Client c sends its chunk (see LoadOptions) as
+/// batches of load.batch_size, the last one short, waiting for each
+/// outcome before the next send; a kStopped outcome ends its run.
+/// `sequential` drives the clients one after another in client order on
+/// the calling thread, otherwise each client gets its own thread.
+/// Throws std::invalid_argument for zero clients or batch size.
+LoadResult DriveLoad(const Trace& trace, const LoadOptions& load,
+                     bool sequential, const PortFactory& open_port);
+
+/// Nearest-rank percentile (q in [0, 1]) of an unsorted sample; 0 when
+/// empty.
+double Percentile(std::vector<double> samples, double q);
 
 struct ServeResult {
   CacheStats total;
   std::map<ClientId, CacheStats> per_client;  // keyed by Request::client
   std::vector<CacheStats> per_shard;
-  std::vector<ClientLoadStats> per_driver;  // indexed by driver client
   /// Applied requests/batches (what reached a shard policy).
   std::uint64_t requests = 0;
   std::uint64_t batches = 0;
@@ -581,29 +631,39 @@ struct ServeResult {
   std::uint64_t shard_drains = 0;
   double avg_drained_batch = 0.0;
   /// Ownership topology actually used, and what the machine offered:
-  /// consumer (owning-core) count, std::thread::hardware_concurrency,
-  /// and requests applied per consumer. per-core req/s is
+  /// consumer (owning-core) count, std::thread::hardware_concurrency
+  /// (at least 1), and requests applied per consumer. per-core req/s is
   /// requests / consumers / wall_seconds; bench_server_scaling and
   /// bench_overload emit it so multi-core runners can gate scaling
   /// while a 1-core container is recognizable as such.
   unsigned consumers = 0;
   unsigned cores_detected = 0;
   std::vector<std::uint64_t> per_consumer_requests;
-  /// Exact admission ledger across all clients.
+  /// Exact admission ledger across all clients, as the server kept it.
   AdmissionStats admission;
   std::uint64_t quarantined = 0;
   std::uint64_t watchdog_sheds = 0;
+  /// The driver's view: wall clock, applied req/s, and per-batch
+  /// latency percentiles (through real sockets for a wire run). In
+  /// process (ServeTrace) the wall clock runs from the drivers' start to
+  /// the end of Shutdown(), consumer join included.
   double wall_seconds = 0.0;
   double throughput_rps = 0.0;
-  double p50_us = 0.0;  // across all drivers' applied batches
+  double p50_us = 0.0;
   double p99_us = 0.0;
   double drain_p50_us = 0.0;  // per-shard-drain latency (opt-in)
   double drain_p99_us = 0.0;
 };
 
-/// Replays `trace` against a fresh CacheServer with `load.clients`
-/// closed-loop driver threads. Throws std::invalid_argument for
-/// incompatible options (deterministic + duration, zero clients/batch).
+/// Fills a ServeResult from a quiescent server (after Shutdown() or a
+/// NetServer drain) and the load that drove it.
+ServeResult ServeResultOf(const CacheServer& server, const LoadResult& load);
+
+/// Replays `trace` against a fresh CacheServer through DriveLoad, with
+/// one driver thread per client in every mode (the deterministic
+/// consumer imposes client order itself). Throws std::invalid_argument
+/// for incompatible options (deterministic + duration, zero
+/// clients/batch).
 /// Batches rejected by admission (shed / timed out / expired) are
 /// counted and skipped; the driver moves on to the next batch.
 ServeResult ServeTrace(const Trace& trace, const ServerOptions& options,

@@ -783,10 +783,10 @@ int RunListen(const CliOptions& opts) {
   server->Drain();
   PrintNetStats(server->Stats());
   const AdmissionStats adm = server->cache().TotalAdmission();
-  if (adm.submitted_requests !=
-      adm.applied_requests + adm.shed_requests + adm.timed_out_requests +
-          adm.expired_requests + adm.stopped_requests) {
-    std::fprintf(stderr, "clic_serve: ADMISSION LEDGER BROKEN after drain\n");
+  if (!adm.Balanced()) {
+    std::fprintf(stderr,
+                 "clic_serve: ADMISSION LEDGER BROKEN after drain: %s\n",
+                 adm.Describe().c_str());
     return 1;
   }
   std::fprintf(stderr,
@@ -796,9 +796,10 @@ int RunListen(const CliOptions& opts) {
 }
 
 /// Loopback wire serving (--connect): in-process NetServer on an
-/// ephemeral port, ServeTrace-chunked wire drivers through real
-/// sockets. Fills *result with the server-side view (wire latencies for
-/// p50/p99); returns non-zero if the wire ledger does not balance.
+/// ephemeral port, driven by the same load driver as ServeTrace through
+/// real sockets. Fills *result with the server-side view (wire
+/// latencies for p50/p99); returns non-zero if the wire ledger does not
+/// balance.
 int RunWireServe(const CliOptions& opts, const Trace& trace,
                  std::uint64_t cap, ServeResult* result) {
   net::NetServerOptions nopts;
@@ -823,7 +824,6 @@ int RunWireServe(const CliOptions& opts, const Trace& trace,
                server->port(), nopts.io_threads,
                nopts.io_threads == 1 ? "" : "s", nopts.conn_limit);
   net::WireLoadOptions wopts;
-  wopts.addr = "127.0.0.1";
   wopts.port = server->port();
   wopts.clients = opts.load.clients;
   wopts.batch_size = opts.load.batch_size;
@@ -840,34 +840,9 @@ int RunWireServe(const CliOptions& opts, const Trace& trace,
 
   // Wire-side ledger: every batch the drivers sent must be accounted
   // for by a status reply or an observed transport loss.
-  if (wire.submitted_requests !=
-          wire.applied_requests + wire.shed_requests +
-              wire.timed_out_requests + wire.expired_requests +
-              wire.stopped_requests + wire.conn_lost_requests ||
-      wire.submitted_batches !=
-          wire.applied_batches + wire.shed_batches + wire.timed_out_batches +
-              wire.expired_batches + wire.stopped_batches +
-              wire.conn_lost_batches) {
-    std::fprintf(
-        stderr,
-        "clic_serve: WIRE LEDGER BROKEN: submitted=%llu/%llu != "
-        "applied=%llu/%llu + shed=%llu/%llu + timed_out=%llu/%llu + "
-        "expired=%llu/%llu + stopped=%llu/%llu + conn_lost=%llu/%llu "
-        "(batches/requests)\n",
-        static_cast<unsigned long long>(wire.submitted_batches),
-        static_cast<unsigned long long>(wire.submitted_requests),
-        static_cast<unsigned long long>(wire.applied_batches),
-        static_cast<unsigned long long>(wire.applied_requests),
-        static_cast<unsigned long long>(wire.shed_batches),
-        static_cast<unsigned long long>(wire.shed_requests),
-        static_cast<unsigned long long>(wire.timed_out_batches),
-        static_cast<unsigned long long>(wire.timed_out_requests),
-        static_cast<unsigned long long>(wire.expired_batches),
-        static_cast<unsigned long long>(wire.expired_requests),
-        static_cast<unsigned long long>(wire.stopped_batches),
-        static_cast<unsigned long long>(wire.stopped_requests),
-        static_cast<unsigned long long>(wire.conn_lost_batches),
-        static_cast<unsigned long long>(wire.conn_lost_requests));
+  if (!wire.ledger.Balanced()) {
+    std::fprintf(stderr, "clic_serve: WIRE LEDGER BROKEN: %s\n",
+                 wire.ledger.Describe().c_str());
     return 1;
   }
   if (wire.wire_errors > 0) {
@@ -877,31 +852,9 @@ int RunWireServe(const CliOptions& opts, const Trace& trace,
                  static_cast<unsigned long long>(wire.wire_errors),
                  wire.wire_errors == 1 ? "" : "s");
   }
-
-  const CacheServer& cache = server->cache();
-  result->total = cache.TotalStats();
-  result->per_client = cache.PerClientStats();
-  result->per_shard = cache.PerShardStats();
-  result->requests = cache.requests_applied();
-  result->batches = cache.batches_applied();
-  result->shard_drains = cache.shard_drains();
-  result->avg_drained_batch =
-      result->shard_drains > 0
-          ? static_cast<double>(result->requests) /
-                static_cast<double>(result->shard_drains)
-          : 0.0;
-  result->consumers = cache.consumers();
-  result->cores_detected = std::thread::hardware_concurrency();
-  result->per_consumer_requests = cache.PerConsumerRequests();
-  result->admission = cache.TotalAdmission();
-  result->quarantined = cache.quarantined();
-  result->watchdog_sheds = cache.watchdog_sheds();
   // Wall clock and latency percentiles are the wire-level numbers: what
   // a client sees through real sockets, not the in-process view.
-  result->wall_seconds = wire.wall_seconds;
-  result->throughput_rps = wire.throughput_rps;
-  result->p50_us = wire.p50_us;
-  result->p99_us = wire.p99_us;
+  *result = ServeResultOf(server->cache(), wire);
   return 0;
 }
 
@@ -972,29 +925,9 @@ int Main(int argc, char** argv) {
   // or not: a request the server neither applied nor accounted for as
   // rejected is a lost write from the client's point of view.
   const AdmissionStats& adm = result.admission;
-  if (adm.submitted_requests !=
-          adm.applied_requests + adm.shed_requests + adm.timed_out_requests +
-              adm.expired_requests + adm.stopped_requests ||
-      adm.submitted_batches !=
-          adm.applied_batches + adm.shed_batches + adm.timed_out_batches +
-              adm.expired_batches + adm.stopped_batches) {
-    std::fprintf(
-        stderr,
-        "clic_serve: ADMISSION LEDGER BROKEN: submitted=%llu/%llu != "
-        "applied=%llu/%llu + shed=%llu/%llu + timed_out=%llu/%llu + "
-        "expired=%llu/%llu + stopped=%llu/%llu (batches/requests)\n",
-        static_cast<unsigned long long>(adm.submitted_batches),
-        static_cast<unsigned long long>(adm.submitted_requests),
-        static_cast<unsigned long long>(adm.applied_batches),
-        static_cast<unsigned long long>(adm.applied_requests),
-        static_cast<unsigned long long>(adm.shed_batches),
-        static_cast<unsigned long long>(adm.shed_requests),
-        static_cast<unsigned long long>(adm.timed_out_batches),
-        static_cast<unsigned long long>(adm.timed_out_requests),
-        static_cast<unsigned long long>(adm.expired_batches),
-        static_cast<unsigned long long>(adm.expired_requests),
-        static_cast<unsigned long long>(adm.stopped_batches),
-        static_cast<unsigned long long>(adm.stopped_requests));
+  if (!adm.Balanced()) {
+    std::fprintf(stderr, "clic_serve: ADMISSION LEDGER BROKEN: %s\n",
+                 adm.Describe().c_str());
     return 1;
   }
 

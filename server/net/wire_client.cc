@@ -6,31 +6,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
+#include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <stdexcept>
-#include <thread>
+#include <memory>
 
 namespace clic::server::net {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double Percentile(std::vector<double>* sorted, double q) {
-  if (sorted->empty()) return 0.0;
-  std::sort(sorted->begin(), sorted->end());
-  const std::size_t idx = static_cast<std::size_t>(
-      q * static_cast<double>(sorted->size() - 1));
-  return (*sorted)[idx];
-}
-
-/// One driver's share of the work and its wire-side tallies.
-struct DriverState {
-  WireLoadResult tally;  // per-driver; merged after join
-  std::vector<double> latencies_us;
-};
 
 bool WriteAll(int fd, const char* data, std::size_t n, std::string* error) {
   std::size_t off = 0;
@@ -133,153 +115,64 @@ std::uint16_t WireClient::Call(const Request* reqs, std::size_t n) {
   }
 }
 
+namespace {
+
+/// The wire port: one connection per client, WireClient::Call per
+/// batch. A batch without a status reply is conn_lost (std::nullopt);
+/// the port then reconnects once, and after a failed (re)connect every
+/// later batch is conn_lost without being sent.
+class WirePort final : public LoadPort {
+ public:
+  WirePort(const WireLoadOptions& options,
+           std::atomic<std::uint64_t>* wire_errors)
+      : options_(options), wire_errors_(wire_errors) {
+    alive_ = client_.Connect(options_.addr, options_.port);
+  }
+
+  BatchOutcome Send(const Request* requests, std::size_t n) override {
+    if (!alive_) return std::nullopt;
+    const std::uint16_t code = client_.Call(requests, n);
+    switch (code) {
+      case kWireApplied: return SubmitResult::kApplied;
+      case kWireShed: return SubmitResult::kShed;
+      case kWireTimedOut: return SubmitResult::kTimedOut;
+      case kWireExpired: return SubmitResult::kExpired;
+      case kWireStopped: return SubmitResult::kStopped;
+      default: break;
+    }
+    // A typed error frame (or server_busy) means the server did not
+    // serve the batch and closed the connection.
+    if (code != WireClient::kWireConnClosed) {
+      wire_errors_->fetch_add(1, std::memory_order_relaxed);
+    }
+    if (!client_.connected()) {
+      alive_ = client_.Connect(options_.addr, options_.port);
+    }
+    return std::nullopt;
+  }
+
+ private:
+  const WireLoadOptions& options_;
+  std::atomic<std::uint64_t>* wire_errors_;
+  WireClient client_;
+  bool alive_ = false;
+};
+
+}  // namespace
+
 WireLoadResult RunWireLoad(const Trace& trace,
                            const WireLoadOptions& options) {
-  if (options.clients == 0) {
-    throw std::invalid_argument("RunWireLoad: need at least one client");
-  }
-  if (options.batch_size == 0) {
-    throw std::invalid_argument("RunWireLoad: batch_size must be >= 1");
-  }
-  const std::uint64_t total =
-      options.request_budget > 0
-          ? std::min<std::uint64_t>(options.request_budget,
-                                    trace.requests.size())
-          : trace.requests.size();
-  const std::size_t clients = options.clients;
-
-  auto drive = [&](std::size_t c, DriverState* st) {
-    // ServeTrace's chunking rule: concatenating the chunks in client
-    // order yields the capped trace.
-    const std::uint64_t begin = total * c / clients;
-    const std::uint64_t end = total * (c + 1) / clients;
-    WireClient client;
-    if (!client.Connect(options.addr, options.port)) {
-      ++st->tally.failed_connects;
-      const std::uint64_t reqs = end - begin;
-      st->tally.submitted_requests += reqs;
-      st->tally.conn_lost_requests += reqs;
-      for (std::uint64_t b = begin; b < end; b += options.batch_size) {
-        ++st->tally.submitted_batches;
-        ++st->tally.conn_lost_batches;
-      }
-      return;
-    }
-    ++st->tally.connections;
-    for (std::uint64_t off = begin; off < end; off += options.batch_size) {
-      const std::size_t n = static_cast<std::size_t>(
-          std::min<std::uint64_t>(options.batch_size, end - off));
-      ++st->tally.submitted_batches;
-      st->tally.submitted_requests += n;
-      const auto t0 = Clock::now();
-      std::uint16_t code = client.Call(&trace.requests[off], n);
-      if (code == WireClient::kWireConnClosed && !client.connected()) {
-        // Transport died (e.g. net:reset): this batch's reply is gone.
-        // Reconnect once and move on to the next batch.
-        ++st->tally.conn_lost_batches;
-        st->tally.conn_lost_requests += n;
-        if (client.Connect(options.addr, options.port)) {
-          ++st->tally.connections;
-          continue;
-        }
-        ++st->tally.failed_connects;
-        for (std::uint64_t rest = off + n; rest < end;
-             rest += options.batch_size) {
-          const std::size_t m = static_cast<std::size_t>(
-              std::min<std::uint64_t>(options.batch_size, end - rest));
-          ++st->tally.submitted_batches;
-          st->tally.submitted_requests += m;
-          ++st->tally.conn_lost_batches;
-          st->tally.conn_lost_requests += m;
-        }
-        return;
-      }
-      st->latencies_us.push_back(
-          std::chrono::duration<double, std::micro>(Clock::now() - t0)
-              .count());
-      switch (code) {
-        case kWireApplied:
-          ++st->tally.applied_batches;
-          st->tally.applied_requests += n;
-          break;
-        case kWireShed:
-          ++st->tally.shed_batches;
-          st->tally.shed_requests += n;
-          break;
-        case kWireTimedOut:
-          ++st->tally.timed_out_batches;
-          st->tally.timed_out_requests += n;
-          break;
-        case kWireExpired:
-          ++st->tally.expired_batches;
-          st->tally.expired_requests += n;
-          break;
-        case kWireStopped:
-          ++st->tally.stopped_batches;
-          st->tally.stopped_requests += n;
-          break;
-        default:
-          // A typed error frame (or server_busy): the batch was not
-          // served and the server closed the connection.
-          ++st->tally.wire_errors;
-          ++st->tally.conn_lost_batches;
-          st->tally.conn_lost_requests += n;
-          if (!client.connected() &&
-              client.Connect(options.addr, options.port)) {
-            ++st->tally.connections;
-          }
-          break;
-      }
-    }
-    client.Close();
-  };
-
-  std::vector<DriverState> states(clients);
-  const auto t0 = Clock::now();
-  if (options.deterministic || clients == 1) {
-    // Sequential client order: the wire replay of the strict-client-
-    // order stream the deterministic consumer drains.
-    for (std::size_t c = 0; c < clients; ++c) drive(c, &states[c]);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(clients);
-    for (std::size_t c = 0; c < clients; ++c) {
-      threads.emplace_back([&, c] { drive(c, &states[c]); });
-    }
-    for (auto& t : threads) t.join();
-  }
-  const double wall =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-
+  LoadOptions load;
+  load.clients = options.clients;
+  load.batch_size = options.batch_size;
+  load.request_budget = options.request_budget;
+  std::atomic<std::uint64_t> wire_errors{0};
   WireLoadResult out;
-  std::vector<double> latencies;
-  for (auto& st : states) {
-    const WireLoadResult& t = st.tally;
-    out.submitted_batches += t.submitted_batches;
-    out.submitted_requests += t.submitted_requests;
-    out.applied_batches += t.applied_batches;
-    out.applied_requests += t.applied_requests;
-    out.shed_batches += t.shed_batches;
-    out.shed_requests += t.shed_requests;
-    out.timed_out_batches += t.timed_out_batches;
-    out.timed_out_requests += t.timed_out_requests;
-    out.expired_batches += t.expired_batches;
-    out.expired_requests += t.expired_requests;
-    out.stopped_batches += t.stopped_batches;
-    out.stopped_requests += t.stopped_requests;
-    out.conn_lost_batches += t.conn_lost_batches;
-    out.conn_lost_requests += t.conn_lost_requests;
-    out.wire_errors += t.wire_errors;
-    out.connections += t.connections;
-    out.failed_connects += t.failed_connects;
-    latencies.insert(latencies.end(), st.latencies_us.begin(),
-                     st.latencies_us.end());
-  }
-  out.wall_seconds = wall;
-  out.throughput_rps =
-      wall > 0.0 ? static_cast<double>(out.applied_requests) / wall : 0.0;
-  out.p50_us = Percentile(&latencies, 0.50);
-  out.p99_us = Percentile(&latencies, 0.99);
+  static_cast<LoadResult&>(out) =
+      DriveLoad(trace, load, options.deterministic, [&](std::size_t) {
+        return std::make_unique<WirePort>(options, &wire_errors);
+      });
+  out.wire_errors = wire_errors.load(std::memory_order_relaxed);
   return out;
 }
 

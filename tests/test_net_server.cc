@@ -277,8 +277,8 @@ TEST(NetServerTest, DeterministicWireMatchesPartitionedSimulate) {
   wopts.deterministic = true;
   const WireLoadResult wire = RunWireLoad(trace, wopts);
   server.Drain();
-  EXPECT_EQ(wire.applied_requests, trace.requests.size());
-  EXPECT_EQ(wire.conn_lost_batches, 0u);
+  EXPECT_EQ(wire.ledger.applied_requests, trace.requests.size());
+  EXPECT_EQ(wire.ledger.conn_lost_batches, 0u);
 
   const SimResult expected = PartitionedSimulate(trace, sopts);
   const CacheStats served = server.cache().TotalStats();
@@ -294,6 +294,83 @@ TEST(NetServerTest, DeterministicWireMatchesPartitionedSimulate) {
     EXPECT_EQ(it->second.read_hits, stats.read_hits) << "client " << client;
     EXPECT_EQ(it->second.write_hits, stats.write_hits)
         << "client " << client;
+  }
+}
+
+std::vector<std::uint64_t> StatsFields(const CacheStats& s) {
+  return {s.reads, s.writes, s.read_hits, s.write_hits};
+}
+
+std::vector<std::uint64_t> LedgerFields(const AdmissionStats& a) {
+  return {a.submitted_batches,  a.submitted_requests, a.enqueued_batches,
+          a.enqueued_requests,  a.applied_batches,    a.applied_requests,
+          a.shed_batches,       a.shed_requests,      a.timed_out_batches,
+          a.timed_out_requests, a.expired_batches,    a.expired_requests,
+          a.stopped_batches,    a.stopped_requests,   a.conn_lost_batches,
+          a.conn_lost_requests};
+}
+
+// One driver, two ports: the same trace and options replayed through
+// the in-process port and through the wire port must reach the server
+// identically — same per-shard and per-client decisions, same ledger.
+TEST(NetServerTest, InProcessAndWirePortsServeIdentically) {
+  const Trace trace = MakeSynthetic("cross_transport", 11, 6001, 3);
+  ServerOptions sopts;
+  sopts.shards = 4;
+  sopts.cache_pages = 96;
+  sopts.deterministic = true;
+  for (const std::size_t clients : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE("clients=" + std::to_string(clients));
+    LoadOptions load;
+    load.clients = clients;
+    load.batch_size = 37;  // divides no chunk: every client ends short
+    const ServeResult in_process = ServeTrace(trace, sopts, load);
+
+    NetServerOptions nopts;
+    nopts.server = sopts;
+    nopts.conn_limit = clients;
+    nopts.io_threads = 1;
+    NetServer server(nopts);
+    WireLoadOptions wopts;
+    wopts.port = server.port();
+    wopts.clients = load.clients;
+    wopts.batch_size = load.batch_size;
+    wopts.deterministic = true;
+    const WireLoadResult wire = RunWireLoad(trace, wopts);
+    server.Drain();
+    const ServeResult over_wire = ServeResultOf(server.cache(), wire);
+
+    EXPECT_EQ(in_process.requests, trace.size());
+    EXPECT_EQ(StatsFields(over_wire.total), StatsFields(in_process.total));
+    ASSERT_EQ(over_wire.per_shard.size(), in_process.per_shard.size());
+    for (std::size_t s = 0; s < in_process.per_shard.size(); ++s) {
+      EXPECT_EQ(StatsFields(over_wire.per_shard[s]),
+                StatsFields(in_process.per_shard[s]))
+          << "shard " << s;
+    }
+    ASSERT_EQ(over_wire.per_client.size(), in_process.per_client.size());
+    for (const auto& [client, stats] : in_process.per_client) {
+      const auto it = over_wire.per_client.find(client);
+      ASSERT_NE(it, over_wire.per_client.end()) << "client " << client;
+      EXPECT_EQ(StatsFields(it->second), StatsFields(stats))
+          << "client " << client;
+    }
+
+    EXPECT_EQ(LedgerFields(over_wire.admission),
+              LedgerFields(in_process.admission));
+    EXPECT_TRUE(in_process.admission.Balanced())
+        << in_process.admission.Describe();
+    EXPECT_TRUE(wire.ledger.Balanced()) << wire.ledger.Describe();
+    EXPECT_EQ(wire.ledger.conn_lost_batches, 0u);
+    EXPECT_EQ(wire.wire_errors, 0u);
+    // The client-edge ledger saw exactly the outcomes the server kept.
+    AdmissionStats client_view = wire.ledger;
+    client_view.enqueued_batches = in_process.admission.enqueued_batches;
+    client_view.enqueued_requests = in_process.admission.enqueued_requests;
+    EXPECT_EQ(LedgerFields(client_view), LedgerFields(in_process.admission));
+
+    EXPECT_GE(in_process.cores_detected, 1u);
+    EXPECT_EQ(over_wire.cores_detected, in_process.cores_detected);
   }
 }
 
@@ -334,7 +411,7 @@ TEST(NetServerTest, NetFaultsPreserveDecisionsAndCount) {
 
   // Torn writes / partial reads / accept stalls re-chunk or delay
   // bytes; every decision must match the fault-free baseline exactly.
-  EXPECT_EQ(wire.applied_requests, trace.requests.size());
+  EXPECT_EQ(wire.ledger.applied_requests, trace.requests.size());
   const NetStats net = server.Stats();
   EXPECT_GT(net.torn_writes, 0u);
   EXPECT_GT(net.partial_reads, 0u);

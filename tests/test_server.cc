@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/trace.h"
@@ -367,6 +369,62 @@ TEST(CacheServerTest, DurationModeLoopsTheChunkAndStops) {
   // check sits at batch boundaries), and the run must terminate.
   EXPECT_GE(served.requests, trace.size());
   EXPECT_GT(served.wall_seconds, 0.0);
+}
+
+// The load driver's grid: client c sends [n*c/C, n*(c+1)/C) in
+// batch_size steps, the last batch short; sequential mode keeps client
+// order, and every batch lands in the ledger under its outcome.
+TEST(LoadDriverTest, ChunksBatchesAndCountsEveryOutcome) {
+  const Trace trace = MakeSynthetic("grid", 3, 10);
+  struct RecordPort final : LoadPort {
+    std::vector<std::pair<std::size_t, std::size_t>>* sent;
+    const Request* base;
+    std::size_t calls = 0;
+    RecordPort(std::vector<std::pair<std::size_t, std::size_t>>* s,
+               const Request* b)
+        : sent(s), base(b) {}
+    BatchOutcome Send(const Request* requests, std::size_t n) override {
+      sent->emplace_back(static_cast<std::size_t>(requests - base), n);
+      return calls++ == 0 ? SubmitResult::kApplied : SubmitResult::kShed;
+    }
+  };
+  std::vector<std::pair<std::size_t, std::size_t>> sent;
+  LoadOptions load;
+  load.clients = 3;
+  load.batch_size = 2;
+  const LoadResult result =
+      DriveLoad(trace, load, /*sequential=*/true, [&](std::size_t) {
+        return std::make_unique<RecordPort>(&sent, trace.requests.data());
+      });
+  const std::vector<std::pair<std::size_t, std::size_t>> expected = {
+      {0, 2}, {2, 1}, {3, 2}, {5, 1}, {6, 2}, {8, 2}};
+  EXPECT_EQ(sent, expected);
+  const AdmissionStats& a = result.ledger;
+  EXPECT_EQ(a.submitted_batches, 6u);
+  EXPECT_EQ(a.submitted_requests, 10u);
+  EXPECT_EQ(a.applied_requests, 2u + 2u + 2u);
+  EXPECT_EQ(a.shed_requests, 1u + 1u + 2u);
+  EXPECT_TRUE(a.Balanced()) << a.Describe();
+
+  AdmissionStats lost;
+  lost.Count(std::nullopt, 7);
+  EXPECT_EQ(lost.conn_lost_requests, 7u);
+  EXPECT_TRUE(lost.Balanced());
+  lost.applied_requests = 1;
+  EXPECT_FALSE(lost.Balanced());
+  EXPECT_NE(lost.Describe().find("conn_lost=1/7"), std::string::npos)
+      << lost.Describe();
+}
+
+TEST(LoadDriverTest, PercentileIsNearestRank) {
+  EXPECT_EQ(Percentile({}, 0.5), 0.0);
+  const std::vector<double> v = {50, 10, 40, 20, 30};
+  EXPECT_EQ(Percentile(v, 0.0), 10);
+  EXPECT_EQ(Percentile(v, 0.5), 30);
+  EXPECT_EQ(Percentile(v, 0.6), 30);
+  EXPECT_EQ(Percentile(v, 0.61), 40);
+  EXPECT_EQ(Percentile(v, 0.99), 50);
+  EXPECT_EQ(Percentile(v, 1.0), 50);
 }
 
 TEST(CacheServerTest, ShardCachePagesSplitsBudget) {
